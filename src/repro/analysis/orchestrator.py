@@ -3,15 +3,21 @@
 ``run_matrix`` executes a sweep serially inside the calling interpreter:
 one segfault, OOM kill, or Ctrl-C loses the whole multi-hour matrix, and a
 pathological cell can only be bounded in *cycles*, not wall-clock time.
-This module runs each (benchmark, config, scale) cell as a **job** in its
-own worker subprocess (``multiprocessing`` *spawn* context — a fresh
-interpreter, nothing shared), so:
+This module runs each (benchmark, config, scale) cell as a **job** on a
+pool of at most ``jobs`` **warm worker** subprocesses (``multiprocessing``
+*spawn* context — a fresh interpreter, nothing inherited from the parent).
+A worker is started lazily, pays its interpreter start and imports once,
+and then takes one cell at a time until the sweep ends; every cell still
+builds its own chip state from scratch, so a cell's stats do not depend on
+which worker ran it or what ran before.  So:
 
-* a worker dying for any reason costs one cell, not the sweep;
+* a worker dying for any reason costs one cell, not the sweep; the dead
+  worker is thrown away and a fresh one is spawned at the next dispatch;
 * every cell has a **wall-clock deadline** — the parent kills the worker
   outright when it expires, complementing the in-simulation cycle budget
   and progress watchdog (which cannot fire if the interpreter itself is
-  wedged or thrashing);
+  wedged or thrashing).  Workers never prefetch, so a kill costs only the
+  cell in flight;
 * completed cells stream into an append-only JSONL journal
   (:mod:`repro.analysis.journal`), keyed by a deterministic fingerprint,
   so ``repro sweep --resume`` re-runs only what is missing after a crash
@@ -32,6 +38,10 @@ pool (memory pressure is the usual culprit) down to one worker, and if
 workers keep dying even then, the orchestrator falls back to the existing
 in-process serial path (:func:`repro.analysis.runner.run_benchmark_safe`)
 for the remaining cells rather than aborting the sweep.
+
+Warm workers pin glibc's ``M_MMAP_THRESHOLD`` at start (see
+:func:`_pin_mmap_threshold`): without it, every cell's 16 MB global-memory
+image would stay fully resident once the first one had been freed.
 """
 
 from __future__ import annotations
@@ -107,8 +117,8 @@ class SweepCell:
     #: {"spec": ..., "oracle": ...} here.  Not part of the fingerprint —
     #: fuzz encodes the spec fingerprint in ``benchmark`` instead.
     extra: dict = field(default_factory=dict)
-    #: Test-only fault injection: worker attempts (1-based) on which the
-    #: worker hard-exits at startup, simulating a segfault/OOM kill.
+    #: Test-only fault injection: attempts (1-based) on which the worker
+    #: that receives the cell hard-exits, simulating a segfault/OOM kill.
     die_on_attempts: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -136,6 +146,7 @@ class SweepResult:
     quarantined_lines: int = 0
     degraded_to_serial: bool = False
     final_pool_size: int = 0
+    workers_started: int = 0  # worker processes actually spawned
 
     @property
     def ok(self) -> bool:
@@ -185,6 +196,8 @@ class SweepResult:
         if self.degraded_to_serial:
             notes.append("pool degraded to the in-process serial path "
                          "after repeated worker deaths")
+        if self.workers_started:
+            notes.append(f"{self.workers_started} worker process(es) started")
         if self.quarantined_lines:
             notes.append(f"{self.quarantined_lines} corrupted journal line(s) "
                          f"quarantined at resume")
@@ -235,6 +248,7 @@ class SweepResult:
             "store": self.store_stats,
             "quarantined_lines": self.quarantined_lines,
             "degraded_to_serial": self.degraded_to_serial,
+            "workers_started": self.workers_started,
             "cells": cells,
         }
 
@@ -243,17 +257,58 @@ class SweepResult:
 # Worker side (runs in a spawned subprocess)
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn, payload: dict) -> None:
-    """Entry point of one worker process: run one cell, send one dict.
+def _pin_mmap_threshold() -> None:
+    """Keep large allocations on mmap for the worker's whole life.
+
+    glibc raises its mmap threshold dynamically: once a large mmap'd block
+    is freed, later blocks up to that size come from the brk heap instead.
+    Each cell's ``GlobalMemory.data`` is a 16 MB ``np.zeros`` array; fresh
+    from mmap it is lazily zeroed pages that only touched lines make
+    resident, but from the heap it is memset and fully resident.  A worker
+    that outlives its first cell would therefore pay the whole image on
+    every later cell.  Pinning ``M_MMAP_THRESHOLD`` also switches the
+    dynamic adjustment off.  Not glibc (macOS, musl): nothing to do.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD = 128 KiB
+
+
+def _worker_main(conn) -> None:
+    """Entry point of one warm worker: run cells until told to stop.
 
     Must stay importable at module top level — the *spawn* start method
-    re-imports this module in the child to find it.  Everything that can
-    go wrong inside is converted into a record dict; only a hard crash
-    (segfault, OOM kill, ``os._exit``) leaves the pipe empty, which the
-    parent classifies as ``worker-died``.
+    re-imports this module in the child to find it.  The worker answers
+    each payload with exactly one record dict and exits on a ``None``
+    sentinel or when the parent's end of the pipe closes.  Only a hard
+    crash (segfault, OOM kill, ``os._exit``) leaves a cell unanswered,
+    which the parent classifies as ``worker-died``.
     """
-    if payload["attempt"] in payload["die_on_attempts"]:
-        os._exit(86)  # simulated hard crash (test hook)
+    _pin_mmap_threshold()
+    while True:
+        try:
+            payload = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break
+        if payload is None:
+            break
+        if payload["attempt"] in payload["die_on_attempts"]:
+            os._exit(86)  # simulated hard crash (test hook)
+        try:
+            conn.send(_run_payload(payload))
+        except OSError:  # the parent is gone
+            break
+    conn.close()
+
+
+def _run_payload(payload: dict) -> dict:
+    """Run one cell; everything that can go wrong becomes a record dict."""
     try:
         if payload.get("runner") == "fuzz":
             from repro.fuzz.campaign import run_fuzz_cell
@@ -269,18 +324,16 @@ def _worker_main(conn, payload: dict) -> None:
                 max_cycles=payload["max_cycles"], faults=payload["faults"],
                 retry_timeouts=False,  # retries are the orchestrator's job
             )
-        conn.send(record_to_dict(record))
+        return record_to_dict(record)
     except BaseException as exc:  # noqa: BLE001 - last-ditch isolation
-        conn.send({
+        return {
             "benchmark": payload["benchmark"],
             "arch": payload["config"].get("arch", "?"),
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
             "dump": None, "retried": False, "stats": None,
             "config": payload["config"],
-        })
-    finally:
-        conn.close()
+        }
 
 
 def _cell_payload(cell: SweepCell, attempt: int, max_cycles: int | None) -> dict:
@@ -302,6 +355,56 @@ def _cell_payload(cell: SweepCell, attempt: int, max_cycles: int | None) -> dict
 # Parent side
 # ---------------------------------------------------------------------------
 
+class _Worker:
+    """One warm worker process and the parent's end of its pipe."""
+
+    def __init__(self, ctx):
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main, args=(child_conn,),
+                                daemon=True)
+        self.proc.start()
+        child_conn.close()  # the child holds the only other end
+
+    def submit(self, payload: dict) -> bool:
+        """Hand the worker one cell; False if it is already dead."""
+        if not self.proc.is_alive():
+            return False
+        try:
+            self.conn.send(payload)
+        except OSError:
+            return False
+        return True
+
+    def receive(self) -> dict | None:
+        """The worker's answer, or None if it died without one."""
+        try:
+            if self.conn.poll(0):
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def kill(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
+def _stop_workers(workers) -> None:
+    """Stop idle workers: sentinel to all first, so they exit together."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass
+    for worker in workers:
+        worker.proc.join(timeout=5.0)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join()
+        worker.conn.close()
+
+
 @dataclass
 class _Job:
     """One cell's sweep state across attempts."""
@@ -313,40 +416,20 @@ class _Job:
     ready_at: float = 0.0  # monotonic time before which backoff holds it
     started: float = 0.0
     first_started: float | None = None
-    proc: object | None = None
-    conn: object | None = None
+    worker: _Worker | None = None  # the worker running the current attempt
 
-    def launch(self, ctx) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def run_on(self, worker: _Worker) -> bool:
+        """Send the next attempt to ``worker``; False (and no attempt
+        charged) if the worker turned out to be dead."""
+        payload = _cell_payload(self.cell, self.attempt + 1, self.max_cycles)
+        if not worker.submit(payload):
+            return False
         self.attempt += 1
-        payload = _cell_payload(self.cell, self.attempt, self.max_cycles)
-        proc = ctx.Process(target=_worker_main, args=(child_conn, payload),
-                           daemon=True)
-        proc.start()
-        child_conn.close()  # parent keeps only the read end
-        self.proc, self.conn = proc, parent_conn
+        self.worker = worker
         self.started = time.monotonic()
         if self.first_started is None:
             self.first_started = self.started
-
-    def reap(self) -> dict | None:
-        """Collect the worker's result dict, or None if it died silently."""
-        result = None
-        try:
-            if self.conn.poll(0):
-                result = self.conn.recv()
-        except (EOFError, OSError):
-            result = None
-        self.proc.join()
-        self.conn.close()
-        self.proc, self.conn = None, None
-        return result
-
-    def kill(self) -> None:
-        self.proc.kill()
-        self.proc.join()
-        self.conn.close()
-        self.proc, self.conn = None, None
+        return True
 
     @property
     def deadline(self) -> float | None:
@@ -368,12 +451,15 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
               retries: int = 1, journal_dir=None, resume: bool = False,
               store=None, backoff_base: float = 0.5, backoff_cap: float = 30.0,
               seed: int = 0, progress=None) -> SweepResult:
-    """Run every cell, each in its own worker subprocess; never raises for
-    a cell-level failure.
+    """Run every cell on a pool of warm worker subprocesses; never raises
+    for a cell-level failure.
 
-    ``jobs`` is the worker-pool width (``0`` forces the in-process serial
-    path — no isolation, but also no spawn overhead; still journaled and
-    resumable).  ``wall_timeout`` is the per-cell wall-clock budget in
+    ``jobs`` is the worker-pool width: at most ``jobs`` spawn workers live
+    for this call, each taking one cell at a time, and a worker is replaced
+    only when it dies or misses a wall deadline (``SweepResult.
+    workers_started`` counts the spawns).  ``0`` forces the in-process
+    serial path — no isolation, but also no spawn overhead; still journaled
+    and resumable.  ``wall_timeout`` is the per-cell wall-clock budget in
     seconds (``None`` = unbounded: only the cycle budget and watchdog
     bound the cell).  ``retries`` caps *extra* attempts per cell under
     :data:`RETRY_POLICY`.  With ``journal_dir`` every completed cell is
@@ -509,12 +595,35 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
         return result
 
     # -- the process pool -------------------------------------------------
+    from multiprocessing.connection import wait  # off the CLI import path
+
     ctx = multiprocessing.get_context("spawn")
     pool_size = max(1, jobs)
-    pending = list(todo)  # jobs waiting for a slot (or for backoff)
-    active: list[_Job] = []
+    pending = list(todo)  # jobs waiting for a worker (or for backoff)
+    active: list[_Job] = []  # jobs whose attempt is on a worker
+    idle: list[_Worker] = []  # warm workers with nothing to do
     death_streak = 0  # consecutive worker deaths, reset by any result
     serial_fallback = False
+
+    def dispatch(job: _Job) -> None:
+        """Start the job's next attempt on an idle or a fresh worker.  A
+        worker found dead while idle is replaced; the cell is not charged."""
+        while True:
+            if idle:
+                worker = idle.pop()
+            else:
+                worker = _Worker(ctx)
+                result.workers_started += 1
+            if job.run_on(worker):
+                active.append(job)
+                return
+            worker.kill()
+
+    def retire(job: _Job) -> None:
+        """Kill the job's worker (dead or past its deadline) and drop it."""
+        job.worker.kill()
+        job.worker = None
+        active.remove(job)
 
     def backoff(job: _Job) -> None:
         delay = min(backoff_cap, backoff_base * (2 ** (job.attempt - 1)))
@@ -552,7 +661,6 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
 
     try:
         while pending or active:
-            now = time.monotonic()
             # Degrade: repeated worker deaths mean the environment (not one
             # cell) is sick — shrink the pool, then give up on isolation.
             if death_streak >= DEGRADE_AFTER:
@@ -567,60 +675,69 @@ def run_sweep(cells, *, jobs: int = 1, wall_timeout: float | None = None,
                          "in-process serial path")
             if serial_fallback:
                 # Drain what is still running, then finish serially.
-                for job in active:
-                    job.kill()
+                for job in list(active):
+                    retire(job)
                     job.attempt -= 1  # the killed attempt is not charged
                     pending.append(job)
-                active.clear()
                 for job in pending:
                     run_serial(job)
                 pending.clear()
                 result.degraded_to_serial = True
                 break
+            while idle and len(idle) + len(active) > pool_size:
+                _stop_workers([idle.pop()])  # the pool shrank
 
-            # Launch while there are free slots and ready jobs.
+            # Dispatch while there are free slots and ready jobs.
+            now = time.monotonic()
             ready = [j for j in pending if j.ready_at <= now]
             while ready and len(active) < pool_size:
                 job = ready.pop(0)
                 pending.remove(job)
-                job.launch(ctx)
-                active.append(job)
+                dispatch(job)
 
-            # Poll the active set: results, deaths, blown deadlines.
+            # Sleep until a worker answers or dies, or the nearest cell
+            # deadline or backoff expiry — whichever comes first.
+            wakes = [j.deadline for j in active if j.deadline is not None]
+            wakes += [j.ready_at for j in pending if j.ready_at > now]
+            timeout = max(0.0, min(wakes) - now) if wakes else None
+            if active:
+                wait([j.worker.conn for j in active]
+                     + [j.worker.proc.sentinel for j in active], timeout)
+            elif timeout is not None:
+                time.sleep(timeout)
+
+            # Collect results, deaths and blown deadlines.
+            now = time.monotonic()
             for job in list(active):
-                got_result = False
-                try:
-                    got_result = job.conn.poll(0)
-                except (EOFError, OSError):
-                    pass
-                if got_result or not job.proc.is_alive():
+                data = job.worker.receive()
+                if data is not None:
+                    idle.append(job.worker)
+                    job.worker = None
                     active.remove(job)
-                    data = job.reap()
-                    if data is None:
-                        settle(job, _failed_record(
-                            job.cell, "worker-died",
-                            f"worker exited without a result "
-                            f"(attempt {job.attempt})"))
-                    else:
-                        settle(job, record_from_dict(data))
+                    settle(job, record_from_dict(data))
+                elif not job.worker.proc.is_alive():
+                    retire(job)
+                    settle(job, _failed_record(
+                        job.cell, "worker-died",
+                        f"worker exited without a result "
+                        f"(attempt {job.attempt})"))
                 elif job.deadline is not None and now >= job.deadline:
                     budget = job.wall_budget
-                    job.kill()
-                    active.remove(job)
+                    retire(job)
                     settle(job, _failed_record(
                         job.cell, "wall-timeout",
                         f"wall-clock deadline ({budget:g}s) exceeded on "
                         f"attempt {job.attempt}"))
-            if pending or active:
-                time.sleep(0.02)
     except KeyboardInterrupt:
         # Leave a clean journal behind: everything finalized so far is
-        # durable; in-flight workers are killed, their cells untouched —
-        # exactly what --resume needs.
-        for job in active:
-            job.kill()
+        # durable; in-flight workers are killed (below), their cells
+        # untouched — exactly what --resume needs.
         note("interrupted: journal is resumable with --resume")
         raise
+    finally:
+        for job in list(active):
+            retire(job)
+        _stop_workers(idle)
 
     result.final_pool_size = pool_size
     if store is not None:

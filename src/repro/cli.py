@@ -5,7 +5,7 @@ Commands:
 * ``list`` — the benchmark suite with categories and limiter classes.
 * ``run BENCH`` — simulate one benchmark under one architecture.
 * ``compare BENCH`` — baseline vs VT vs ideal-sched side by side.
-* ``experiment ID`` — regenerate a paper artifact (E1..E12, X1..X3).
+* ``experiment ID`` — regenerate a paper artifact (E1..E12, X1..X4, X6).
 * ``sweep`` — the (benchmark x arch) matrix through the process-isolated
   orchestrator: parallel workers, wall-clock kill, retries, and a
   journal that makes the sweep resumable (``--resume DIR``); ``--store``
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(fn=cmd_compare)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp_p.add_argument("id", help="experiment id: E1..E12 or X1..X3")
+    exp_p.add_argument("id", help="experiment id: E1..E12, X1..X4 or X6")
     exp_p.add_argument("--scale", type=positive_float, default=1.0)
     exp_p.add_argument("--strict", action="store_true",
                        help="abort on the first failing run instead of "

@@ -1,7 +1,10 @@
 """CLI commands (invoked in-process via repro.cli.main)."""
 
+import re
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -69,6 +72,24 @@ def test_experiment_unknown(capsys):
     code, _out, err = run_cli(capsys, "experiment", "E99")
     assert code == 2
     assert "unknown experiment" in err
+
+
+def _help_ids(text: str) -> set[str]:
+    """Experiment ids named in help text, with ``E1..E12`` ranges expanded."""
+    ids = set(re.findall(r"\b[EX]\d+\b", text))
+    for prefix, lo, hi in re.findall(r"\b([EX])(\d+)\.\.\1(\d+)\b", text):
+        ids.update(f"{prefix}{n}" for n in range(int(lo), int(hi) + 1))
+    return ids
+
+
+def test_experiment_help_names_every_experiment(capsys):
+    from repro.analysis.experiments import ALL_EXPERIMENTS
+
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    helped = _help_ids(capsys.readouterr().out)
+    assert set(ALL_EXPERIMENTS) <= helped
+    assert set(ALL_EXPERIMENTS) <= _help_ids(repro.cli.__doc__)
 
 
 def test_unknown_benchmark(capsys):

@@ -2,9 +2,13 @@
 kill, per-status retries, journal resume, quarantine, and graceful pool
 degradation.
 
-These tests spawn real worker subprocesses (multiprocessing *spawn*), so
-each costs ~a second of interpreter start-up; cell counts are kept tiny.
+These tests spawn real worker subprocesses (multiprocessing *spawn*).
+Workers are warm, so a test pays interpreter start-up (~half a second) once
+per pool slot plus once per worker that dies or is killed; cell counts are
+kept tiny.
 """
+
+import json
 
 import pytest
 
@@ -78,6 +82,55 @@ def test_worker_death_retried_in_fresh_process(cfg):
     assert record.ok
     assert record.retried
     assert result.attempts[cell.key] == 2
+
+
+def test_one_warm_worker_runs_every_cell(cfg):
+    """At jobs=1 every cell goes through one long-lived worker, and the
+    stats match the in-process serial path byte for byte."""
+    cells = matrix_cells([get("vecadd"), get("saxpy")], ["baseline", "vt"],
+                         cfg, 0.25)
+    warm = run_sweep(cells, jobs=1)
+    serial = run_sweep(cells, jobs=0)
+    assert warm.ok and warm.workers_started == 1
+    assert serial.workers_started == 0
+    assert set(warm.records) == set(serial.records)
+    for key, record in serial.records.items():
+        assert json.dumps(warm.records[key].stats.to_dict()) == \
+            json.dumps(record.stats.to_dict())
+    assert warm.to_summary()["workers_started"] == 1
+    assert "1 worker process(es) started" in warm.summary_table()
+
+
+def test_worker_death_between_healthy_cells(cfg):
+    """A cell that kills its worker is retried in a fresh worker; the
+    cells before and after it are unaffected."""
+    cells = [SweepCell("vecadd", cfg, scale=0.25),
+             SweepCell("saxpy", cfg, scale=0.25, die_on_attempts=(1,)),
+             SweepCell("reduction", cfg, scale=0.25)]
+    result = run_sweep(cells, jobs=1, retries=1, backoff_base=0.0)
+    assert result.ok
+    assert result.workers_started == 2
+    assert result.attempts[("saxpy", "baseline")] == 2
+    assert result.records[("saxpy", "baseline")].retried
+    assert result.attempts[("vecadd", "baseline")] == 1
+    assert result.attempts[("reduction", "baseline")] == 1
+
+
+def test_healthy_cell_runs_in_replacement_after_wall_kill(cfg):
+    """A worker killed at a wall deadline is replaced, and the next cell
+    completes in the replacement."""
+    plan = FaultPlan(stall_warp=(0, 0, 0), stall_at_cycle=50)
+    stalled = SweepCell(
+        "vecadd",
+        cfg.with_(progress_window=0, max_cycles=500_000_000),
+        scale=0.25, faults=plan)
+    healthy = SweepCell("saxpy", cfg, scale=0.25)
+    result = run_sweep([stalled, healthy], jobs=1, wall_timeout=1.5,
+                       retries=0, backoff_base=0.0)
+    assert result.records[stalled.key].status == "wall-timeout"
+    assert result.records[healthy.key].ok
+    assert result.attempts[healthy.key] == 1
+    assert result.workers_started == 2
 
 
 def test_terminal_error_not_retried(cfg):

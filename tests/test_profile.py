@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.profiling import _bucket_for
 from repro.isa import assemble, kernel_profile
 from repro.kernels import all_benchmarks, get
 
@@ -77,3 +78,19 @@ def test_total_mix_matches_instruction_count():
     for bench in all_benchmarks():
         profile = kernel_profile(bench.kernel)
         assert sum(profile.by_class.values()) == profile.num_instructions
+
+
+@pytest.mark.parametrize("filename, bucket", [
+    ("/x/src/repro/core/vt.py", "vt"),
+    ("/x/src/repro/core/policies.py", "vt"),
+    ("/x/src/repro/core/occupancy.py", "other"),
+    ("/x/src/repro/sim/smcore.py", "scheduler_scan"),
+    ("/x/src/repro/sim/memsys.py", "memsys"),
+    ("/x/src/repro/sim/gpu.py", "gpu_loop"),
+    ("C:\\x\\repro\\core\\vt.py", "vt"),
+    ("/usr/lib/python3/json/encoder.py", "other"),
+])
+def test_run_profile_buckets(filename, bucket):
+    """``repro run --profile`` buckets by module path; the VT manager
+    (core/vt.py) must land in "vt", not "other"."""
+    assert _bucket_for(filename) == bucket
