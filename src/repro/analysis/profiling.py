@@ -33,7 +33,7 @@ _BUCKETS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("sanitizer", ("sim/sanitizer.py",)),
     ("vt", ("core/vt.py", "core/policies.py")),
     ("parallel_engine", ("sim/parallel.py",)),
-    ("gpu_loop", ("sim/gpu.py",)),
+    ("gpu_loop", ("sim/gpu.py", "sim/watchdog.py")),
 )
 
 

@@ -38,6 +38,17 @@ class VirtualThreadManager(CTAManagerBase):
         self._swap_victim: CTA | None = None
         self._swap_incoming: CTA | None = None
         self._swap_phase_end = 0
+        # Readiness horizon: the earliest cycle at which an INACTIVE CTA
+        # (other than the swap's incoming one) becomes ready for
+        # activation.  Before it neither a slot fill nor a trigger swap can
+        # act, so ``update`` is a no-op.  An INACTIVE CTA cannot issue, so
+        # its ready cycle is fixed from the moment it goes INACTIVE; the
+        # horizon only moves on state transitions (see
+        # :meth:`refresh_ready_horizon`).
+        self._ready_at = FOREVER
+        # The timeout trigger mutates ``cta.stall_since`` while it is
+        # evaluated, so it must keep being polled every cycle.
+        self._pure_trigger = cfg.vt_trigger_policy != "timeout"
 
     # -- limits -------------------------------------------------------------------
 
@@ -67,6 +78,7 @@ class VirtualThreadManager(CTAManagerBase):
         else:
             cta.state = CTAState.INACTIVE
             cta.became_inactive_at = now
+            self.refresh_ready_horizon()
 
     def on_cta_finish(self, cta: CTA, now: int) -> None:
         if cta is self._swap_victim or cta is self._swap_incoming:
@@ -108,7 +120,7 @@ class VirtualThreadManager(CTAManagerBase):
         timeout = self.cfg.vt_trigger_timeout
         for cta in self.resident:
             if cta.state is CTAState.INACTIVE:
-                ready_at = self._activation_ready_at(cta, now)
+                ready_at = self._ready_cycle(cta)
                 if now < ready_at < event:
                     event = ready_at
             elif (timeout_trigger and cta.state is CTAState.ACTIVE
@@ -118,19 +130,29 @@ class VirtualThreadManager(CTAManagerBase):
                     event = fire_at
         return event
 
-    def _activation_ready_at(self, cta: CTA, now: int) -> int:
-        """Earliest cycle at which ``cta.ready_for_activation`` can turn
-        true: the min over its eligible warps of the outstanding global-load
-        completion.  Returns ``now`` when it is ready already (no future
-        event needed — a promotion either happened this cycle or waits on a
-        slot/trigger, both of which are covered by other horizons)."""
+    def refresh_ready_horizon(self) -> None:
+        """Recompute ``_ready_at``: the earliest :meth:`_ready_cycle` over
+        INACTIVE CTAs, the swap's incoming CTA excluded.  Called on every
+        transition that changes that set, and by the parallel engine after
+        it patches deferred load completions into scoreboards.  A horizon
+        that is too early only costs a wasted poll; one that is too late
+        would delay a fill or swap and break stats identity."""
+        incoming = self._swap_incoming
+        self._ready_at = min(
+            (self._ready_cycle(cta) for cta in self.resident
+             if cta.state is CTAState.INACTIVE and cta is not incoming),
+            default=FOREVER)
+
+    @staticmethod
+    def _ready_cycle(cta: CTA) -> int:
+        """Cycle from which ``cta.ready_for_activation`` holds: the min over
+        its eligible warps of the outstanding global-load completion
+        (FOREVER when every warp is finished or parked at a barrier)."""
         ready_at = FOREVER
         for warp in cta.warps:
             if warp.finished or warp.at_barrier:
                 continue
             pending_until = warp.scoreboard.mem_pending_until()
-            if pending_until <= now:
-                return now
             if pending_until < ready_at:
                 ready_at = pending_until
         return ready_at
@@ -139,6 +161,8 @@ class VirtualThreadManager(CTAManagerBase):
         if self._swap_victim is not None or self._swap_incoming is not None:
             self._advance_swap(now)
             return
+        if now < self._ready_at and self._pure_trigger:
+            return  # no INACTIVE CTA is ready: nothing can fill or swap
         self._fill_empty_active_slots(now)
         if self._swap_victim is None and self._swap_incoming is None:
             self._check_triggers(now, warp_status)
@@ -160,6 +184,7 @@ class VirtualThreadManager(CTAManagerBase):
                 # victim reappears ACTIVE without a SWAP_IN restore — an
                 # illegal state-machine edge the sanitizer must catch.
                 victim.state = CTAState.ACTIVE
+            self.refresh_ready_horizon()
             if self._swap_incoming is not None:
                 incoming = self._swap_incoming
                 incoming.state = CTAState.SWAP_IN
@@ -182,10 +207,7 @@ class VirtualThreadManager(CTAManagerBase):
         limit = self.active_limit(self.resident[0].kernel)
         if self.active_cta_count >= limit:
             return
-        candidates = [
-            c for c in self.resident
-            if c.state is CTAState.INACTIVE and c.ready_for_activation(now)
-        ]
+        candidates = self._ready_inactive(now)
         if not candidates:
             return
         incoming = self._select(candidates, now)
@@ -193,6 +215,7 @@ class VirtualThreadManager(CTAManagerBase):
         _save, restore = self.cfg.vt_swap_cycles_for(incoming.num_warps)
         self._swap_incoming = incoming
         self._swap_phase_end = now + restore
+        self.refresh_ready_horizon()
 
     def _check_triggers(self, now: int, warp_status) -> None:
         inactive_ready = None
@@ -202,15 +225,18 @@ class VirtualThreadManager(CTAManagerBase):
             if not self._trigger(cta, warp_status, now, self.cfg):
                 continue
             if inactive_ready is None:
-                inactive_ready = [
-                    c for c in self.resident
-                    if c.state is CTAState.INACTIVE and c.ready_for_activation(now)
-                ]
+                inactive_ready = self._ready_inactive(now)
             if not inactive_ready:
                 return
             incoming = self._select(inactive_ready, now)
             self._begin_swap(cta, incoming, now)
             return
+
+    def _ready_inactive(self, now: int) -> list[CTA]:
+        return [
+            c for c in self.resident
+            if c.state is CTAState.INACTIVE and c.ready_for_activation(now)
+        ]
 
     def _begin_swap(self, victim: CTA, incoming: CTA, now: int) -> None:
         victim.state = CTAState.SWAP_OUT
@@ -221,6 +247,7 @@ class VirtualThreadManager(CTAManagerBase):
         self._swap_phase_end = now + save
         self.stats.swaps += 1
         self.stats.swap_busy_cycles += 1
+        self.refresh_ready_horizon()
 
     # -- invariants (used by property tests) -------------------------------------
 

@@ -22,9 +22,10 @@ from repro.sim.config import ArchMode, GPUConfig
 from repro.sim.cta import CTA
 from repro.sim.memory import GlobalMemory
 from repro.sim.memsys import MemoryModel
-from repro.sim.sanitizer import ProgressTracker, Sanitizer, diagnostic_dump
+from repro.sim.sanitizer import Sanitizer, diagnostic_dump
 from repro.sim.smcore import SMCore
 from repro.sim.stats import SimStats
+from repro.sim.watchdog import ProgressTracker
 
 
 class SimulationTimeout(RuntimeError):

@@ -66,9 +66,10 @@ from repro.sim.cta import CTA
 from repro.sim.gpu import (LaunchResult, ProgressDeadlock, SimulationTimeout,
                            _manager_factory)
 from repro.sim.memsys import MemoryModel, min_cross_rtt
-from repro.sim.sanitizer import ProgressTracker, diagnostic_dump
+from repro.sim.sanitizer import diagnostic_dump
 from repro.sim.smcore import SMCore
 from repro.sim.stats import SimStats
+from repro.sim.watchdog import ProgressTracker
 
 #: Sentinel completion times handed out for deferred memory requests.
 #: Far above any reachable cycle (``max_cycles`` tops out in the millions)
@@ -552,6 +553,10 @@ class _Shard:
             # Drop the cached status: it embedded a sentinel horizon.  The
             # recompute against exact values is what serial would cache.
             warp.status_until = -1
+        if self.vt_mode:
+            # A victim that went INACTIVE this epoch derived the manager's
+            # readiness horizon from sentinel completions: too late.
+            sm.manager.refresh_ready_horizon()
         if sm.allow_fast and sm.next_wake >= e1:
             # The cached next event crossed the boundary, so the scan that
             # produced it may have had sentinel wake times masking the true

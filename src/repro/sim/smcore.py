@@ -267,12 +267,25 @@ class SMCore:
         self._occ_cache = None  # a live cycle may change any sampled count
         self.manager.update(now, lambda warp: self._status(warp, now))
 
+        issuable_fn = self._issuable
+        if self.faults is None:
+            def issuable(w):
+                # A cached non-READY status answers without a call: such a
+                # warp is not issuable whether or not its CTA is
+                # schedulable.  Fault plans must see every query first.
+                if now < w.status_until and w.cached_status != ST_READY:
+                    return False
+                return issuable_fn(w, now)
+        else:
+            def issuable(w):
+                return issuable_fn(w, now)
+
         issued = 0
         for scheduler in self.schedulers:
             stats.issue_slots += 1
             if not scheduler.warps:
                 continue
-            warp = scheduler.pick(lambda w: self._issuable(w, now))
+            warp = scheduler.pick(issuable)
             if warp is not None:
                 self._issue(warp, now)
                 issued += 1

@@ -16,7 +16,7 @@ import pytest
 from repro.kernels import all_benchmarks, get
 from repro.sim.config import ArchMode, scaled_fermi
 from repro.sim.gpu import GPU, SimulationTimeout
-from repro.sim.sanitizer import ProgressTracker
+from repro.sim.watchdog import ProgressTracker
 
 BENCHES = all_benchmarks()
 SCALE = 0.25

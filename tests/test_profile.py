@@ -87,6 +87,8 @@ def test_total_mix_matches_instruction_count():
     ("/x/src/repro/sim/smcore.py", "scheduler_scan"),
     ("/x/src/repro/sim/memsys.py", "memsys"),
     ("/x/src/repro/sim/gpu.py", "gpu_loop"),
+    ("/x/src/repro/sim/watchdog.py", "gpu_loop"),
+    ("/x/src/repro/sim/sanitizer.py", "sanitizer"),
     ("C:\\x\\repro\\core\\vt.py", "vt"),
     ("/usr/lib/python3/json/encoder.py", "other"),
 ])

@@ -279,3 +279,23 @@ def test_check_exec_invoked_during_runs(monkeypatch):
     monkeypatch.setattr(Sanitizer, "check_exec", spying)
     _run("reduction", "baseline")
     assert len(seen) > 0
+
+
+def test_detects_late_vt_readiness_horizon(monkeypatch):
+    """A readiness horizon one cycle late makes the VT manager skip the
+    cycle an INACTIVE CTA becomes ready; the sanitizer must notice."""
+    from repro.core.vt import VirtualThreadManager
+
+    refresh = VirtualThreadManager.refresh_ready_horizon
+
+    def late_refresh(self):
+        refresh(self)
+        self._ready_at += 1
+
+    monkeypatch.setattr(VirtualThreadManager, "refresh_ready_horizon", late_refresh)
+    bench = get("stride")
+    prep = bench.prepare(0.5)
+    gpu = GPU(scaled_fermi(num_sms=1, arch="vt", sanitize=True))
+    with pytest.raises(InvariantViolation) as excinfo:
+        gpu.launch(bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    assert excinfo.value.invariant == "vt-ready-horizon"

@@ -175,3 +175,53 @@ def test_oldest_ready_selection_order():
         cta.became_inactive_at = 100 - i
     manager.update(0, status_all(ST_MEM))
     assert manager._swap_incoming is inactive[-1]
+
+
+# -- polling budget: the readiness horizon keeps update() off the triggers ----
+
+
+def _count_polls(monkeypatch, name, scale, num_sms):
+    """Run ``name`` under VT, counting ``update`` calls and trigger
+    evaluations (deterministic counts, no timing)."""
+    from repro.core import policies
+    from repro.kernels import get
+    from repro.sim.config import scaled_fermi
+    from repro.sim.gpu import GPU
+
+    counts = {"update": 0, "trigger": 0}
+    trigger = policies.TRIGGER_POLICIES["all-stalled"]
+    update = VirtualThreadManager.update
+
+    def counting_trigger(*args):
+        counts["trigger"] += 1
+        return trigger(*args)
+
+    def counting_update(self, now, warp_status):
+        counts["update"] += 1
+        return update(self, now, warp_status)
+
+    monkeypatch.setitem(policies.TRIGGER_POLICIES, "all-stalled", counting_trigger)
+    monkeypatch.setattr(VirtualThreadManager, "update", counting_update)
+    bench = get(name)
+    prep = bench.prepare(scale)
+    result = GPU(scaled_fermi(num_sms=num_sms, arch="vt")).launch(
+        bench.kernel, prep.grid_dim, prep.gmem, prep.params)
+    return counts, result.stats
+
+
+def test_no_trigger_polls_without_inactive_ctas(monkeypatch):
+    """chase never seats an INACTIVE CTA, so no swap can ever fire: the
+    manager must not evaluate a single trigger."""
+    counts, stats = _count_polls(monkeypatch, "chase", 0.25, 8)
+    assert counts["update"] > 1000
+    assert counts["trigger"] == 0
+    assert stats.total_swaps == 0
+
+
+def test_trigger_polls_fewer_than_updates_when_swapping(monkeypatch):
+    """stride's victims wait on their loads while INACTIVE, so most cycles
+    sit before the readiness horizon and skip the triggers.  (Polling every
+    cycle evaluated more triggers than there were updates.)"""
+    counts, stats = _count_polls(monkeypatch, "stride", 0.5, 1)
+    assert stats.total_swaps > 0
+    assert 0 < counts["trigger"] < counts["update"]
